@@ -19,7 +19,8 @@ Two questions, matching the engine subsystem's two claims:
    read correctly.
 
 Run standalone:  ``PYTHONPATH=src python benchmarks/bench_engine_serving.py``
-or under pytest-benchmark: ``pytest benchmarks/bench_engine_serving.py -s``.
+or under pytest with the ``bench_*`` collection flags shown in
+``benchmarks/conftest.py``.
 """
 
 from __future__ import annotations

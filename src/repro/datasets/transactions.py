@@ -211,7 +211,7 @@ class TransactionDatabase:
 
         This is the horizontal CSR-of-rows representation itself —
         shared, never copied — so bulk consumers (shard construction,
-        shared-memory packing) can slice it directly instead of
+        segment spilling) can slice it directly instead of
         looping :meth:`transaction_array` per transaction.  Treat the
         arrays as read-only; mutating them breaks immutability.
         """

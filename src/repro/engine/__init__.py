@@ -9,10 +9,9 @@ This package is the data-access seam of the library.  Layering:
    backend, which keeps the DP accounting auditable (one inspectable
    surface) and the physical counting strategy swappable.
 2. Concrete backends — :class:`BitmapBackend` (default, single
-   process, pooled packed bitmaps), :class:`ShardedBackend` (parallel
-   fixed-size shards with bounded per-shard memory; ``mode="threads"``
-   or the multi-core ``mode="processes"`` plane of
-   :mod:`repro.engine.parallel` /:mod:`repro.engine.shm`), and
+   process, pooled packed bitmaps), :class:`ShardedBackend`
+   (fixed-size shards counted on a thread pool, with bounded
+   per-shard memory, in RAM or over memory-mapped segment files), and
    :class:`NaiveBackend` (pure-Python oracle for the equivalence
    tests).
 3. :class:`CachedBackend` — memoizes every exact query result.
@@ -43,28 +42,18 @@ from repro.engine.backend import (
 from repro.engine.bitmap import BitmapBackend
 from repro.engine.cache import CachedBackend
 from repro.engine.naive import NaiveBackend
-from repro.engine.parallel import WorkerPool, start_methods_available
-from repro.engine.sharded import (
-    DEFAULT_SHARD_SIZE,
-    EXECUTION_MODES,
-    ShardedBackend,
-)
+from repro.engine.sharded import DEFAULT_SHARD_SIZE, ShardedBackend
 from repro.engine.session import PrivBasisSession, ReleaseRequest
-from repro.engine.shm import shared_memory_available
 
 __all__ = [
     "BitmapBackend",
     "CachedBackend",
     "CountingBackend",
     "DEFAULT_SHARD_SIZE",
-    "EXECUTION_MODES",
     "NaiveBackend",
     "PrivBasisSession",
     "ReleaseRequest",
     "ShardedBackend",
-    "WorkerPool",
     "as_backend",
     "resolve_backend",
-    "shared_memory_available",
-    "start_methods_available",
 ]

@@ -15,10 +15,8 @@ Implementations in this package:
 * :class:`repro.engine.bitmap.BitmapBackend` — the default; wraps the
   packed-bitmap / tid-list kernels of :mod:`repro.fim.counting`.
 * :class:`repro.engine.sharded.ShardedBackend` — partitions the
-  transactions into fixed-size shards and counts them in parallel with
-  bounded per-shard memory; ``mode="threads"`` (GIL-releasing numpy
-  kernels) or ``mode="processes"`` (true multi-core over shared-memory
-  shard segments, see :mod:`repro.engine.parallel`).
+  transactions into fixed-size shards and counts them on a thread
+  pool (GIL-releasing numpy kernels) with bounded per-shard memory.
 * :class:`repro.engine.naive.NaiveBackend` — a pure-Python oracle used
   by the equivalence test-suite.
 * :class:`repro.engine.cache.CachedBackend` — a memoizing wrapper used
@@ -59,10 +57,9 @@ class CountingBackend(abc.ABC):
     Beyond the four scalar/vector primitives, the protocol carries
     **batched** forms (:meth:`conjunction_supports`,
     :meth:`bin_counts_batch`, :meth:`extension_supports`) so a release
-    stage issues one call for all its queries — the difference between
-    one and ``O(queries)`` pool round-trips for the process-parallel
-    backend — and a :meth:`close` lifecycle hook for backends that own
-    worker pools or shared memory.
+    stage issues one call for all its queries — one shard fan-out for
+    the sharded backend instead of ``O(queries)`` — and a :meth:`close`
+    lifecycle hook for backends that own mapped segment files.
     """
 
     # -- identity ------------------------------------------------------
@@ -148,8 +145,7 @@ class CountingBackend(abc.ABC):
 
     # -- batched primitives --------------------------------------------
     # The per-query primitives above pay one dispatch (and, for the
-    # process-parallel backend, one worker round-trip per shard) per
-    # call.  The batched forms let hot callers ship a whole stage's
+    # sharded backend, one fan-out over every shard) per call.  The batched forms let hot callers ship a whole stage's
     # queries at once; defaults degrade to per-query loops, so every
     # backend supports them and answers are bit-identical either way.
     def conjunction_supports(
@@ -158,8 +154,8 @@ class CountingBackend(abc.ABC):
         """Support count of every itemset, aligned with ``itemsets``.
 
         One batched call per stage instead of per-itemset round-trips;
-        backends that can amortize dispatch (sharded thread/process
-        pools) override this with a single fan-out.
+        backends that can amortize dispatch (the sharded thread pool)
+        override this with a single fan-out.
         """
         return [self.conjunction_support(itemset) for itemset in itemsets]
 
@@ -192,11 +188,11 @@ class CountingBackend(abc.ABC):
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Release external resources (worker pools, shared memory).
+        """Release external resources (mapped segment files).
 
-        A no-op for in-process backends.  Backends owning OS resources
-        (:class:`~repro.engine.sharded.ShardedBackend` in process
-        mode) override it; wrappers forward it; sessions and the
+        A no-op for in-memory backends.  Backends owning OS resources
+        (:class:`~repro.engine.sharded.ShardedBackend` over an mmap
+        store) override it; wrappers forward it; sessions and the
         service call it on shutdown.  Safe to call more than once.
         """
 

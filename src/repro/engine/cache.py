@@ -276,7 +276,7 @@ class CachedBackend(CountingBackend):
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Forward to the inner backend (pool/segment teardown)."""
+        """Forward to the inner backend (mmap store teardown)."""
         self._inner.close()
 
     def top_k(self, k: int, max_length: Optional[int] = None):

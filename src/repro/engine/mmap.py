@@ -30,11 +30,6 @@ memory.  Reading back, :meth:`shard_database` returns shard databases
 whose rows are zero-copy views into the mapping, kept in an LRU cache
 sized from ``memory_budget_bytes`` — evicting an entry drops the
 mapping, and with it the resident pages.
-
-Process-mode workers attach segments by *path* via
-:func:`attach_file_segment` — unlike the shared-memory plane this
-needs no ``/dev/shm``, just a common filesystem, which cluster
-workers already require for the shared ledger.
 """
 
 from __future__ import annotations
@@ -101,18 +96,13 @@ def process_resident_bytes() -> Optional[int]:
 
 @dataclass(frozen=True)
 class FileSegmentSpec:
-    """Picklable handle for one on-disk segment.
+    """Handle for one on-disk segment: its path and shape.
 
-    The process plane ships this (not the data) per query, exactly as
-    :class:`~repro.engine.shm.ShardSegmentSpec` does for shared
-    memory.  ``name`` doubles as the worker-side attachment cache key,
-    so it is the **full path** (unique across datasets sharing one
-    worker pool) and the file name embeds the segment's generation
-    counter — a rebuilt tail gets a fresh name and stale worker caches
-    can never serve old rows.
+    The file name embeds the segment's generation counter — a rebuilt
+    tail gets a fresh name, so a mapping of the old file can never be
+    mistaken for the new contents.
     """
 
-    name: str
     path: str
     num_rows: int
     total_size: int
@@ -185,7 +175,6 @@ def write_segment(
             f"cannot spill shard segment {path.name}: {reason}: {exc}"
         ) from exc
     return FileSegmentSpec(
-        name=str(path),
         path=str(path),
         num_rows=len(rows),
         total_size=int(offsets[-1]),
@@ -257,8 +246,8 @@ def attach_file_segment(
     Returns ``(memmap, database)``; the rows are views into the
     mapping, so the caller keeps the memmap referenced for as long as
     the database is in use.  Dropping both unmaps the file and gives
-    the pages back.  Validates the header/size first — workers never
-    count over a torn file.
+    the pages back.  Validates the header/size first — no query ever
+    counts over a torn file.
     """
     problem = verify_segment(spec)
     if problem is not None:
@@ -317,7 +306,7 @@ class MmapShardStore:
     by chunk), reopen read-only with :meth:`open` — the restart path,
     which verifies every segment and raises
     :class:`~repro.errors.TornSegmentError` for damage.  Thread-safe:
-    the shard cache takes a lock, so threads-mode workers can pull
+    the shard cache takes a lock, so worker threads can pull
     shard databases concurrently.
 
     Layout under ``directory`` (conventionally
@@ -329,8 +318,7 @@ class MmapShardStore:
         ...
 
     A segment file's name embeds its generation; tail rewrites (from
-    ``extend``) bump it, so readers — including process-plane workers
-    with per-name attachment caches — can never confuse old and new
+    ``extend``) bump it, so readers can never confuse old and new
     contents.
     """
 
@@ -470,7 +458,6 @@ class MmapShardStore:
         for entry in manifest.get("segments", []):
             specs.append(
                 FileSegmentSpec(
-                    name=str(directory / str(entry["file"])),
                     path=str(directory / str(entry["file"])),
                     num_rows=int(entry["num_rows"]),
                     total_size=int(entry["total_size"]),
@@ -530,11 +517,6 @@ class MmapShardStore:
     def total_size(self) -> int:
         """Total spilled items (sum of transaction lengths)."""
         return sum(spec.total_size for spec in self._specs)
-
-    @property
-    def segment_specs(self) -> List[FileSegmentSpec]:
-        """Current segment specs, in shard order."""
-        return list(self._specs)
 
     @property
     def memory_budget_bytes(self) -> int:

@@ -354,11 +354,10 @@ class PrivBasisSession:
         """Release backend-owned OS resources (idempotent).
 
         Forwards to the backend's :meth:`~repro.engine.backend
-        .CountingBackend.close` — which tears down worker pools and
-        shared-memory segments for a process-mode
-        :class:`~repro.engine.sharded.ShardedBackend` and is a no-op
-        for in-process backends.  The session's ledger and counters
-        survive; a thread-mode backend stays queryable.
+        .CountingBackend.close` — which closes the mmap store of an
+        out-of-core :class:`~repro.engine.sharded.ShardedBackend` and
+        is a no-op for in-memory backends.  The session's ledger and
+        counters survive; an in-memory backend stays queryable.
         """
         self._backend.close()
 

@@ -1,11 +1,11 @@
-"""Sharded parallel counting with bounded per-shard memory.
+"""Sharded counting with bounded per-shard memory.
 
 :class:`ShardedBackend` partitions the ``N`` transactions into
 fixed-size contiguous shards, materializes each shard as its own
 :class:`~repro.datasets.transactions.TransactionDatabase` (sharing the
 row arrays — no transaction data is copied), and answers every
 counting primitive by running the ordinary kernels per shard in a
-worker pool and merging:
+thread pool and merging:
 
 * item-support vectors and bin histograms add elementwise (the bins of
   a basis partition each shard exactly as they partition ``D``);
@@ -16,40 +16,22 @@ merged answers equal the single-scan answers exactly — the
 equivalence test-suite pins this against both
 :class:`~repro.engine.bitmap.BitmapBackend` and the naive oracle.
 
-Two execution modes share those merge rules and, deliberately, the
-same per-shard kernels (:mod:`repro.engine.parallel`):
-
-* ``mode="threads"`` — a thread pool.  The numpy kernels release the
-  GIL in their hot loops and shard databases live in process memory,
-  so dispatch is free; but the Python-level per-shard work (bitmap
-  row packing, dict merges) serializes on the GIL, which caps the
-  speedup well below the core count.
-* ``mode="processes"`` — a persistent spawn-safe worker pool over
-  **shared-memory shard segments** (:mod:`repro.engine.shm`).  Each
-  shard's CSR rows are published once into a
-  ``multiprocessing.shared_memory`` block; workers attach zero-copy
-  and queries ship as small descriptors (item ids, a basis, a batch of
-  itemsets) — never pickled databases.  Every core runs a full
-  interpreter, so the GIL ceiling is gone.  ``extend(delta)``
-  republishes only the tail shard segment; full shards (and their
-  segments) are never touched.  When shared memory is unavailable the
-  backend falls back to thread mode instead of failing
-  (:attr:`ShardedBackend.effective_mode` tells which one ran).
-
+The numpy kernels release the GIL in their hot loops, but the
+Python-level per-shard work (bitmap row packing, dict merges)
+serializes on it, which caps the speedup well below the core count.
 Per-query working memory is one shard's scratch per worker instead of
-one full-database scratch, in both modes, which is what makes long
-bases feasible on large ``N``.
+one full-database scratch, which is what makes long bases feasible on
+large ``N``.
 
 **Out-of-core (mmap) plane.**  Instead of an in-memory database, the
 backend can be built over a :class:`~repro.engine.mmap.MmapShardStore`
 (``ShardedBackend.from_store`` or the ``store=`` kwarg): shards then
 live in memory-mapped segment files under the state dir, fetched
-through the store's budget-bounded LRU cache in thread mode, or
-attached by path in worker processes — which needs no ``/dev/shm`` at
-all.  Counts are bit-identical to the in-memory plane (same kernels,
-same additive merges, exact integers); only residency changes.  The
-full :attr:`database` is materialized lazily as mapped views and only
-if something asks for it.
+through the store's budget-bounded LRU cache.  Counts are
+bit-identical to the in-memory plane (same kernels, same additive
+merges, exact integers); only residency changes.  The full
+:attr:`database` is materialized lazily as mapped views and only if
+something asks for it.
 """
 
 from __future__ import annotations
@@ -74,45 +56,42 @@ from repro.datasets.transactions import (
     TransactionDatabase,
     canonical_itemset,
 )
-from repro.engine import parallel, shm
 from repro.engine.backend import CountingBackend
-from repro.errors import ValidationError, WorkerPoolError
+from repro.errors import ValidationError
+from repro.fim.counting import ItemBitmaps, bin_counts_for_items
 
 if TYPE_CHECKING:  # pragma: no cover - import for annotations only
     from repro.engine.mmap import MmapShardStore
 
-__all__ = ["ShardedBackend", "DEFAULT_SHARD_SIZE", "EXECUTION_MODES"]
+__all__ = ["ShardedBackend", "DEFAULT_SHARD_SIZE"]
 
 #: Default transactions per shard — large enough that the per-shard
 #: numpy kernels amortize Python dispatch, small enough that a worker's
 #: scratch stays in cache-friendly territory.
 DEFAULT_SHARD_SIZE = 65_536
 
-#: Execution modes of :class:`ShardedBackend`.
-EXECUTION_MODES = ("threads", "processes")
-
 _T = TypeVar("_T")
 
 
-class _FileSegment:
-    """Process-plane handle for one on-disk segment (mmap plane).
+def _shard_extension_supports(
+    shard: TransactionDatabase,
+    base: Sequence[int],
+    candidates: Sequence[int],
+) -> np.ndarray:
+    """Supports of ``base ∧ {c}`` for every candidate, one shard.
 
-    Mirrors the tiny :class:`~repro.engine.shm.ShardSegment` surface
-    (``.spec`` / ``.unlink()``) so dispatch and close stay
-    mode-agnostic.  ``unlink`` is a no-op: segment files are durable
-    store state, owned by the :class:`~repro.engine.mmap
-    .MmapShardStore`, not per-backend OS resources.
+    One vectorized AND+popcount sweep over a bitmap pool covering the
+    base and the candidates — the same kernel the exact top-k miner
+    uses per heap pop.
     """
-
-    def __init__(self, spec) -> None:
-        self.spec = spec
-
-    def unlink(self) -> None:
-        return None
+    pool = sorted(set(base) | set(candidates))
+    bitmaps = ItemBitmaps(shard, pool)
+    base_row = bitmaps.conjunction_row(sorted(set(base)))
+    return bitmaps.extension_supports(base_row, candidates)
 
 
 class ShardedBackend(CountingBackend):
-    """Partitioned parallel counting over fixed-size transaction shards.
+    """Partitioned counting over fixed-size transaction shards.
 
     Parameters
     ----------
@@ -121,22 +100,12 @@ class ShardedBackend(CountingBackend):
     shard_size:
         Transactions per shard (the last shard may be smaller).
     max_workers:
-        Pool width; defaults to ``min(num_shards, cpu_count)``.
+        Thread-pool width; defaults to ``min(num_shards, cpu_count)``.
         ``1`` degenerates to a sequential scan (useful for debugging).
-    mode:
-        ``"threads"`` (default) or ``"processes"`` — see the module
-        docstring.  Process mode silently falls back to threads when
-        shared memory is unavailable on the platform.
-    start_method:
-        Process-mode start method; default ``"spawn"`` (safe under a
-        threaded service).  ``"fork"``/``"forkserver"`` are accepted
-        where the OS provides them and start workers faster.
-
-    Process mode owns OS resources (worker processes, shared-memory
-    blocks): call :meth:`close` — or use the backend as a context
-    manager — when done.  A worker crash raises a clean
-    :class:`~repro.errors.WorkerPoolError` for that query and discards
-    the pool; the next query builds a fresh one.
+    store:
+        An :class:`~repro.engine.mmap.MmapShardStore` to count over
+        instead of ``database`` (the out-of-core plane; its segments
+        are the shards).
     """
 
     def __init__(
@@ -144,8 +113,6 @@ class ShardedBackend(CountingBackend):
         database: Optional[TransactionDatabase] = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
         max_workers: Optional[int] = None,
-        mode: str = "threads",
-        start_method: Optional[str] = None,
         store: Optional["MmapShardStore"] = None,
     ) -> None:
         if shard_size < 1:
@@ -155,10 +122,6 @@ class ShardedBackend(CountingBackend):
         if max_workers is not None and max_workers < 1:
             raise ValidationError(
                 f"max_workers must be >= 1, got {max_workers}"
-            )
-        if mode not in EXECUTION_MODES:
-            raise ValidationError(
-                f"mode must be one of {EXECUTION_MODES}, got {mode!r}"
             )
         if database is None and store is None:
             raise ValidationError(
@@ -173,37 +136,22 @@ class ShardedBackend(CountingBackend):
             else int(shard_size)
         )
         self._max_workers = max_workers
-        self._mode = mode
-        self._start_method = start_method
         self._shards: Optional[List[TransactionDatabase]] = None
         self._item_supports: Optional[np.ndarray] = None
-        # Process-plane state (None until first process-mode query).
-        self._segments: Optional[List] = None
-        self._pool: Optional[parallel.WorkerPool] = None
-        self._shm_unavailable = False
-        self._closed = False
 
     @classmethod
     def from_store(
         cls,
         store: "MmapShardStore",
         max_workers: Optional[int] = None,
-        mode: str = "threads",
-        start_method: Optional[str] = None,
     ) -> "ShardedBackend":
         """A backend over a spilled shard store (the mmap data plane).
 
         The store's segments *are* the shards; queries open them
-        through its budget-bounded cache (threads) or by path in
-        worker processes.  ``close()`` closes the store too — mapped
-        segments are this backend's OS resources.
+        through its budget-bounded cache.  ``close()`` closes the
+        store too — mapped segments are this backend's OS resources.
         """
-        return cls(
-            max_workers=max_workers,
-            mode=mode,
-            start_method=start_method,
-            store=store,
-        )
+        return cls(max_workers=max_workers, store=store)
 
     @property
     def database(self) -> TransactionDatabase:
@@ -242,107 +190,62 @@ class ShardedBackend(CountingBackend):
         return "mmap" if self._store is not None else "memory"
 
     def data_plane_stats(self) -> Dict[str, object]:
-        """Residency telemetry for ``/healthz`` (mode + store stats)."""
+        """Residency telemetry for ``/healthz`` (plane + store stats)."""
         stats: Dict[str, object] = {
             "plane": self.data_plane,
-            "mode": self.effective_mode,
             "shards": self.num_shards,
         }
         if self._store is not None:
             stats.update(self._store.stats())
         return stats
 
-    @property
-    def mode(self) -> str:
-        """The requested execution mode."""
-        return self._mode
-
-    @property
-    def effective_mode(self) -> str:
-        """The mode queries actually run in (fallback-aware)."""
-        if self._mode == "processes" and not self._shm_unavailable:
-            return "processes"
-        return "threads"
-
     # -- streaming ingestion --------------------------------------------
     def extend(self, delta: TransactionDatabase) -> None:
         """Append ``delta`` by growing the tail shard, not resharding.
 
         Existing full shards are untouched (their warm per-shard
-        indexes — and, in process mode, their published shared-memory
-        segments — stay valid); the last, partially filled shard is
+        indexes stay valid); the last, partially filled shard is
         rebuilt with the new rows folded in (rows shared, ≤ one
         shard's worth of work), and any remaining delta rows form new
-        tail shards.  In process mode only the rebuilt tail's segment
-        is republished and only the new tails are published; the
-        cached item-support vector is advanced by adding ``delta``'s
-        supports.
+        tail shards.  The cached item-support vector is advanced by
+        adding ``delta``'s supports.  On the mmap plane the store
+        rewrites only its partial tail segment (atomically, under a
+        bumped generation) and adds new segments for the rest.
         """
         self._validate_delta(delta)
         if self._store is not None:
-            self._extend_store(delta)
-            return
-        extended = self._database.extended(delta)
-        if self._shards is not None and delta.num_transactions:
-            first_changed = len(self._shards)
-            pending = list(delta.rows)
-            last = self._shards[-1]
-            if last.num_transactions < self._shard_size:
-                first_changed -= 1
-                take = min(
-                    self._shard_size - last.num_transactions, len(pending)
-                )
-                merged = list(last.rows) + pending[:take]
-                self._shards[-1] = TransactionDatabase.from_sorted_rows(
-                    merged, self._database.num_items
-                )
-                pending = pending[take:]
-            for start in range(0, len(pending), self._shard_size):
-                self._shards.append(
-                    TransactionDatabase.from_sorted_rows(
-                        pending[start: start + self._shard_size],
-                        self._database.num_items,
-                    )
-                )
-            if self._segments is not None:
-                # Republish only the changed tail: unlink the rebuilt
-                # shard's old segment, publish it and the new shards
-                # under fresh names (workers attach lazily by name, so
-                # nothing needs to be told about the swap).
-                shm.unlink_all(self._segments[first_changed:])
-                self._segments[first_changed:] = shm.publish_all(
-                    self._shards[first_changed:]
-                )
-        if self._item_supports is not None:
-            self._item_supports = (
-                self._item_supports + delta.item_supports()
-            )
-        self._database = extended
-
-    def _extend_store(self, delta: TransactionDatabase) -> None:
-        """Mmap-plane extend: append to the spilled segments.
-
-        The store rewrites only its partial tail segment (atomically,
-        under a bumped generation) and adds new segments for the rest;
-        here we refresh the process plane's segment list from that
-        first changed index on — workers cache attachments by file
-        name, and the new generation's names are fresh, so stale
-        mappings can never answer.
-        """
-        if not delta.num_transactions:
-            return
-        first_changed = self._store.extend(list(delta.rows))
-        if self._segments is not None:
-            self._segments[first_changed:] = [
-                _FileSegment(spec)
-                for spec in self._store.segment_specs[first_changed:]
-            ]
-        if self._item_supports is not None:
-            self._item_supports = (
-                self._item_supports + delta.item_supports()
-            )
-        if self._database is not None:
+            if not delta.num_transactions:
+                return
+            self._store.extend(list(delta.rows))
+            if self._database is not None:
+                self._database = self._database.extended(delta)
+        else:
+            if self._shards is not None and delta.num_transactions:
+                self._extend_shards(list(delta.rows))
             self._database = self._database.extended(delta)
+        if self._item_supports is not None:
+            self._item_supports = (
+                self._item_supports + delta.item_supports()
+            )
+
+    def _extend_shards(self, pending: List[np.ndarray]) -> None:
+        """Fold ``pending`` rows into the tail shard, then new shards."""
+        num_items = self._database.num_items
+        last = self._shards[-1]
+        if last.num_transactions < self._shard_size:
+            take = min(
+                self._shard_size - last.num_transactions, len(pending)
+            )
+            self._shards[-1] = TransactionDatabase.from_sorted_rows(
+                list(last.rows) + pending[:take], num_items
+            )
+            pending = pending[take:]
+        for start in range(0, len(pending), self._shard_size):
+            self._shards.append(
+                TransactionDatabase.from_sorted_rows(
+                    pending[start: start + self._shard_size], num_items
+                )
+            )
 
     # -- shard plumbing -------------------------------------------------
     def _ensure_shards(self) -> List[TransactionDatabase]:
@@ -374,7 +277,7 @@ class ShardedBackend(CountingBackend):
     def _map_shards(
         self, task: Callable[[TransactionDatabase], _T]
     ) -> List[_T]:
-        """Thread-mode fan-out: ``task`` on every shard, merged later.
+        """Fan ``task`` out over every shard; results in shard order.
 
         On the mmap plane shards are fetched per task through the
         store's LRU cache instead of being held in a list, so the
@@ -388,87 +291,27 @@ class ShardedBackend(CountingBackend):
                     [], self._store.num_items
                 )
                 return [task(empty)]
-            indices = range(count)
+            shard_at = self._store.shard_database
+        else:
+            shards = self._ensure_shards()
+            count = len(shards)
+            shard_at = shards.__getitem__
 
-            def run(index: int) -> _T:
-                return task(self._store.shard_database(index))
+        def run(index: int) -> _T:
+            return task(shard_at(index))
 
-            workers = self._workers_for(count)
-            if workers <= 1 or count <= 1:
-                return [run(index) for index in indices]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(run, indices))
-        shards = self._ensure_shards()
-        workers = self._workers_for(len(shards))
-        if workers <= 1 or len(shards) <= 1:
-            return [task(shard) for shard in shards]
+        workers = self._workers_for(count)
+        if workers <= 1 or count <= 1:
+            return [run(index) for index in range(count)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, shards))
-
-    # -- the process plane ----------------------------------------------
-    def _ensure_process_plane(self) -> bool:
-        """Publish segments + start the pool; False → use threads.
-
-        On the mmap plane the "segments" are the store's files — no
-        shared-memory probe, no publication copy: workers attach by
-        path.  An empty store has nothing to fan out, so it answers in
-        thread mode (one empty shard).
-        """
-        if (
-            self._mode != "processes"
-            or self._shm_unavailable
-            or self._closed
-        ):
-            return False
-        if self._store is not None:
-            if self._store.num_segments == 0:
-                return False
-            if self._segments is None:
-                self._segments = [
-                    _FileSegment(spec)
-                    for spec in self._store.segment_specs
-                ]
-        elif self._segments is None:
-            if not shm.shared_memory_available():
-                self._shm_unavailable = True
-                return False
-            self._segments = shm.publish_all(self._ensure_shards())
-        if self._pool is None or self._pool.broken:
-            self._pool = parallel.WorkerPool(
-                self._workers_for(len(self._segments)),
-                start_method=self._start_method,
-            )
-        return True
-
-    def _dispatch(self, kind: str, payload: Tuple) -> List:
-        """Ship ``(kind, payload)`` to every shard's worker and collect.
-
-        One descriptor per shard; the worker attaches the shard's
-        shared segment (cached across queries) and runs the *same*
-        kernel thread mode would.  On a worker crash the broken pool
-        is discarded so the next query starts fresh, and the clean
-        :class:`WorkerPoolError` propagates to the caller.
-        """
-        tasks = [
-            (kind, segment.spec, payload) for segment in self._segments
-        ]
-        try:
-            return self._pool.map_tasks(tasks)
-        except WorkerPoolError:
-            self._pool = None
-            raise
-
-    def _map_kernel(self, kind: str, payload: Tuple) -> List:
-        """Run a named shard kernel in the effective mode."""
-        if self._ensure_process_plane():
-            return self._dispatch(kind, payload)
-        kernel = parallel.KERNELS[kind]
-        return self._map_shards(lambda shard: kernel(shard, *payload))
+            return list(pool.map(run, range(count)))
 
     # -- the four primitives --------------------------------------------
     def item_supports(self) -> np.ndarray:
         if self._item_supports is None:
-            parts = self._map_kernel("item_supports", ())
+            parts = self._map_shards(
+                lambda shard: shard.item_supports()
+            )
             self._item_supports = np.sum(parts, axis=0, dtype=np.int64)
         return self._item_supports.copy()
 
@@ -476,7 +319,9 @@ class ShardedBackend(CountingBackend):
         self, items: Sequence[int]
     ) -> Dict[Tuple[int, int], int]:
         pool = canonical_itemset(items)
-        parts = self._map_kernel("pairwise_supports", (pool,))
+        parts = self._map_shards(
+            lambda shard: ItemBitmaps(shard, pool).pairwise_supports()
+        )
         merged: Dict[Tuple[int, int], int] = {}
         for part in parts:
             for pair, count in part.items():
@@ -493,12 +338,14 @@ class ShardedBackend(CountingBackend):
     def conjunction_supports(
         self, itemsets: Sequence[Iterable[int]]
     ) -> List[int]:
-        """One fan-out for the whole batch: each worker answers every
-        itemset over its shard, the parent sums per itemset."""
+        """One fan-out for the whole batch: each shard answers every
+        itemset, the parent sums per itemset."""
         canonical = [canonical_itemset(itemset) for itemset in itemsets]
         if not canonical:
             return []
-        parts = self._map_kernel("conjunction_batch", (canonical,))
+        parts = self._map_shards(
+            lambda shard: [shard.support(itemset) for itemset in canonical]
+        )
         return [
             int(sum(part[index] for part in parts))
             for index in range(len(canonical))
@@ -513,7 +360,11 @@ class ShardedBackend(CountingBackend):
         ]
         if not bases:
             return []
-        parts = self._map_kernel("bin_counts_batch", (bases,))
+        parts = self._map_shards(
+            lambda shard: [
+                bin_counts_for_items(shard, basis) for basis in bases
+            ]
+        )
         return [
             np.sum(
                 [part[index] for part in parts], axis=0, dtype=np.int64
@@ -527,44 +378,26 @@ class ShardedBackend(CountingBackend):
         candidates = [int(item) for item in candidates]
         if not candidates:
             return np.zeros(0, dtype=np.int64)
-        parts = self._map_kernel(
-            "extension_supports",
-            (tuple(int(item) for item in base), tuple(candidates)),
+        base = [int(item) for item in base]
+        parts = self._map_shards(
+            lambda shard: _shard_extension_supports(
+                shard, base, candidates
+            )
         )
         return np.sum(parts, axis=0, dtype=np.int64)
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
-        """Stop the worker pool and release every segment.
+        """Close the mmap store, if any (idempotent).
 
-        Idempotent.  Shared-memory segments are unlinked; on the mmap
-        plane the store's cached mappings are dropped and the store is
-        closed (its files stay on disk — reopen with
-        ``MmapShardStore.open``).  After close, only the in-memory
-        thread plane stays queryable — the process plane will not be
-        rebuilt.
+        The store's cached mappings are dropped; its files stay on
+        disk — reopen with ``MmapShardStore.open``.  The in-memory
+        plane owns no OS resources, so this is a no-op there.
         """
-        self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-        if self._segments is not None:
-            shm.unlink_all(self._segments)
-            self._segments = None
         if self._store is not None:
             self._store.close()
 
-    def __del__(self) -> None:  # pragma: no cover - best-effort
-        try:
-            if self._pool is not None or self._segments is not None:
-                self.close()
-        except Exception:
-            pass
-
     def __repr__(self) -> str:
-        mode = (
-            f", mode={self._mode!r}" if self._mode != "threads" else ""
-        )
         source = (
             repr(self._store)
             if self._store is not None
@@ -573,5 +406,5 @@ class ShardedBackend(CountingBackend):
         return (
             f"ShardedBackend({source}, "
             f"shard_size={self._shard_size}, "
-            f"max_workers={self._max_workers}{mode})"
+            f"max_workers={self._max_workers})"
         )

@@ -208,21 +208,6 @@ class TornSegmentError(StateStoreError):
         )
 
 
-class WorkerPoolError(ReproError):
-    """The multiprocessing counting pool died mid-query.
-
-    Raised by :mod:`repro.engine.parallel` when a worker process
-    crashes (OOM-killed, segfault, ``SIGKILL``) while a query is in
-    flight.  The answer for that query is lost — never partially
-    merged — and the owning :class:`~repro.engine.sharded
-    .ShardedBackend` discards the broken pool so the *next* query
-    starts a fresh one.  Callers can therefore treat this as a clean,
-    retryable failure.
-    """
-
-    wire_code = "worker_pool_error"
-
-
 class OverloadedError(ReproError):
     """The service's admission controller rejected a request.
 

@@ -18,7 +18,11 @@ import asyncio
 import sys
 from typing import List, Optional
 
-from repro.service.app import DEFAULT_MAX_INFLIGHT, PrivBasisService
+from repro.service.app import (
+    DEFAULT_MAX_INFLIGHT,
+    PrivBasisService,
+    backend_factory_for,
+)
 from repro.service.registry import TenantRegistry
 
 
@@ -67,23 +71,22 @@ def build_parser() -> argparse.ArgumentParser:
              "barrier per release; 'never' is for benchmarks only)",
     )
     parser.add_argument(
-        "--parallel", choices=["bitmap", "threads", "processes"],
+        "--parallel", choices=["bitmap", "threads"],
         default="bitmap",
         help="counting plane: 'bitmap' (default single-process "
-             "backend), or a sharded backend in 'threads' or "
-             "'processes' mode (multi-core over shared-memory shard "
-             "segments; falls back to threads where shared memory is "
-             "unavailable)",
+             "backend), or 'threads' (a sharded backend counting its "
+             "shards on a thread pool)",
     )
     parser.add_argument(
         "--shard-workers", type=int, default=None, metavar="N",
-        help="worker count for --parallel threads/processes "
-             "(default: min(shard count, cpu count))",
+        help="thread count for --parallel threads and --data-plane "
+             "mmap (default: min(shard count, cpu count))",
     )
     parser.add_argument(
         "--shard-size", type=int, default=None, metavar="ROWS",
-        help="transactions per shard for --parallel threads/processes "
-             "(default: engine DEFAULT_SHARD_SIZE)",
+        help="transactions per shard for --parallel threads and "
+             "--data-plane mmap (default: engine DEFAULT_SHARD_SIZE, "
+             "65536)",
     )
     parser.add_argument(
         "--data-plane", choices=["memory", "mmap"], default="memory",
@@ -106,34 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
              "at zero epsilon",
     )
     return parser
-
-
-def backend_factory_for(arguments: argparse.Namespace):
-    """``database -> CountingBackend`` factory from CLI flags.
-
-    Returns ``None`` for the default bitmap plane (the service then
-    builds its usual :class:`~repro.engine.bitmap.BitmapBackend`);
-    otherwise each dataset gets its own sharded backend in the
-    requested execution mode.  ``--data-plane mmap`` also returns
-    ``None``: the service builds its own out-of-core sharded backend
-    per dataset (a factory would fight it for ownership).
-    """
-    if arguments.parallel == "bitmap" or arguments.data_plane == "mmap":
-        return None
-    from repro.engine.sharded import DEFAULT_SHARD_SIZE, ShardedBackend
-
-    mode = arguments.parallel
-    shard_size = arguments.shard_size or DEFAULT_SHARD_SIZE
-
-    def factory(database):
-        return ShardedBackend(
-            database,
-            shard_size=shard_size,
-            max_workers=arguments.shard_workers,
-            mode=mode,
-        )
-
-    return factory
 
 
 async def _run_cluster(arguments: argparse.Namespace) -> int:
@@ -196,15 +171,17 @@ async def _run(arguments: argparse.Namespace) -> int:
     )
     service = PrivBasisService(
         registry,
-        backend_factory=backend_factory_for(arguments),
+        backend_factory=backend_factory_for(
+            arguments.parallel,
+            arguments.data_plane,
+            arguments.shard_size,
+            arguments.shard_workers,
+        ),
         max_inflight=arguments.max_inflight,
         state_dir=arguments.state_dir,
         fsync=arguments.fsync,
         data_plane=arguments.data_plane,
         memory_budget_mb=arguments.memory_budget_mb,
-        data_plane_mode=(
-            "processes" if arguments.parallel == "processes" else "threads"
-        ),
         shard_size=arguments.shard_size,
         shard_workers=arguments.shard_workers,
         reuse=not arguments.no_reuse,

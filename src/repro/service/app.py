@@ -104,7 +104,11 @@ from repro.service.protocol import (
 )
 from repro.service.registry import Tenant, TenantRegistry
 
-__all__ = ["PrivBasisService", "DEFAULT_MAX_INFLIGHT"]
+__all__ = [
+    "PrivBasisService",
+    "DEFAULT_MAX_INFLIGHT",
+    "backend_factory_for",
+]
 
 #: Default bound on concurrently admitted releases.
 DEFAULT_MAX_INFLIGHT = 8
@@ -143,6 +147,33 @@ def _status_for(error: ReproError) -> int:
     if isinstance(error, ValidationError):
         return 400
     return 500
+
+
+def backend_factory_for(
+    parallel: str,
+    data_plane: str = "memory",
+    shard_size: Optional[int] = None,
+    shard_workers: Optional[int] = None,
+) -> Optional[Callable[[Any], Any]]:
+    """The ``database -> CountingBackend`` factory for a counting plane.
+
+    ``parallel`` is the ``--parallel`` value.  Returns ``None`` for the
+    default ``"bitmap"`` plane (the service then builds its usual
+    :class:`~repro.engine.bitmap.BitmapBackend`) and for
+    ``data_plane="mmap"``, where the service builds its own
+    out-of-core sharded backend per dataset (a factory would fight it
+    for ownership).  ``"threads"`` gives each dataset its own
+    thread-sharded backend.
+    """
+    if parallel == "bitmap" or data_plane == "mmap":
+        return None
+    from repro.engine.sharded import DEFAULT_SHARD_SIZE, ShardedBackend
+
+    return functools.partial(
+        ShardedBackend,
+        shard_size=shard_size or DEFAULT_SHARD_SIZE,
+        max_workers=shard_workers,
+    )
 
 
 class PrivBasisService:
@@ -193,9 +224,6 @@ class PrivBasisService:
         Resident-shard budget per dataset for ``data_plane="mmap"``
         (default: the engine's
         :data:`~repro.engine.mmap.DEFAULT_MEMORY_BUDGET_BYTES`).
-    data_plane_mode:
-        Execution mode of the mmap plane's sharded backend:
-        ``"threads"`` (default) or ``"processes"``.
     shard_size, shard_workers:
         Shard rows / worker count for the mmap plane (same meaning as
         the ``--shard-size`` / ``--shard-workers`` flags).
@@ -219,7 +247,6 @@ class PrivBasisService:
         shared_state: bool = False,
         data_plane: str = "memory",
         memory_budget_mb: Optional[int] = None,
-        data_plane_mode: str = "threads",
         shard_size: Optional[int] = None,
         shard_workers: Optional[int] = None,
         reuse: bool = True,
@@ -236,12 +263,7 @@ class PrivBasisService:
         if data_plane == "mmap" and backend_factory is not None:
             raise ValidationError(
                 "data_plane='mmap' builds its own sharded backend per "
-                "dataset; drop backend_factory or use data_plane_mode"
-            )
-        if data_plane_mode not in ("threads", "processes"):
-            raise ValidationError(
-                f"data_plane_mode must be 'threads' or 'processes', "
-                f"got {data_plane_mode!r}"
+                "dataset; drop backend_factory"
             )
         if memory_budget_mb is not None and memory_budget_mb < 1:
             raise ValidationError(
@@ -249,7 +271,6 @@ class PrivBasisService:
             )
         self._data_plane = data_plane
         self._memory_budget_mb = memory_budget_mb
-        self._data_plane_mode = data_plane_mode
         self._shard_size = shard_size
         self._shard_workers = shard_workers
         if dataset_loader is None:
@@ -390,9 +411,7 @@ class PrivBasisService:
             store.close()
             raise
         return ShardedBackend.from_store(
-            store,
-            max_workers=self._shard_workers,
-            mode=self._data_plane_mode,
+            store, max_workers=self._shard_workers
         )
 
     # -- session lifecycle (coalesced cold starts) -----------------------
@@ -1132,9 +1151,8 @@ class PrivBasisService:
 
         Open keep-alive connections are cancelled and awaited so no
         half-closed sockets or orphan tasks outlive the service, and
-        every warm session is closed — which tears down worker pools
-        and unlinks shared-memory shard segments when the backend
-        factory built process-mode sharded backends.
+        every warm session is closed — which closes the mmap shard
+        stores of ``data_plane="mmap"`` backends.
         """
         if self._server is not None:
             self._server.close()

@@ -7,9 +7,8 @@ noisy frequencies, ε ledger) — **bit-identically** to the RAM-resident
 :class:`BitmapBackend` and the pure-Python :class:`NaiveBackend`
 oracle.  Counts are exact integers and additive over any partition,
 so this holds by construction; the suite pins it against regressions
-across the chunk → spill → attach → merge path, in ``threads`` and
-``processes`` modes, after O(Δ) ``extend``, and across a full
-close/reopen restart of the shard store.
+across the chunk → spill → attach → merge path, after O(Δ)
+``extend``, and across a full close/reopen restart of the shard store.
 
 Randomization is seeded (no hypothesis dependency): each seed drives
 an independent database shape, chunk size, and segment size.
@@ -56,8 +55,7 @@ def write_fimi_gz(path, rows) -> None:
             handle.write(" ".join(str(int(i)) for i in row) + "\n")
 
 
-def spilled_backend(tmp_path, seed: int, *, mode: str = "threads",
-                    memory_budget_bytes=None):
+def spilled_backend(tmp_path, seed: int, *, memory_budget_bytes=None):
     """Disk file → chunked load → mmap spill → sharded backend.
 
     Returns ``(backend, database, directory)`` where ``database`` is
@@ -80,9 +78,7 @@ def spilled_backend(tmp_path, seed: int, *, mode: str = "threads",
         rows_per_segment=rows_per_segment,
         memory_budget_bytes=memory_budget_bytes,
     )
-    backend = ShardedBackend.from_store(
-        store, max_workers=2, mode=mode
-    )
+    backend = ShardedBackend.from_store(store, max_workers=2)
     database = load_chunked(source, num_items=num_items)
     return backend, database, directory
 
@@ -143,17 +139,6 @@ def test_spilled_counts_match_bitmap_and_naive(tmp_path, seed):
         )
         assert_backends_equivalent(
             backend, NaiveBackend(database), seed
-        )
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_spilled_counts_match_in_process_mode(tmp_path, seed):
-    backend, database, _ = spilled_backend(
-        tmp_path, seed, mode="processes"
-    )
-    with backend:
-        assert_backends_equivalent(
-            backend, BitmapBackend(database), seed
         )
 
 
